@@ -41,9 +41,6 @@ var workloads = map[string]struct {
 	"task-drain": {"in-process", runTaskDrain},
 }
 
-// workloadOrder fixes the order the traced layer map runs workloads in.
-var workloadOrder = []string{"shm-pair", "dht-batch", "task-drain"}
-
 func main() {
 	workload := flag.String("workload", "", "workload: shm-pair, dht-batch or task-drain")
 	seed := flag.Uint64("seed", 1, "seed the inputs are generated from")
@@ -82,7 +79,7 @@ func main() {
 	info := map[string]any{
 		"workload": *workload, "seed": *seed, "seconds": *seconds, "trace": *trace,
 		"nproc": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0), "go": runtime.Version(),
-		"conduit": workloads[*workload].conduit, "ranks": 2, "reps": map[int]int{0: reps, 1: layerReps}[*trace],
+		"conduit": workloads[*workload].conduit, "ranks": 2, "reps": map[int]int{0: reps, 1: 2 * layerReps}[*trace],
 		"errors": res.errors, "samples": res.samples,
 	}
 	record := map[string]any{"info": info, "result": res, "reps": res.reps}
@@ -155,42 +152,29 @@ func runEndToEnd(dir, workload string, seed uint64, d time.Duration) (result, er
 	return res, nil
 }
 
-// runLayerMap is the traced run. Every workload runs an untraced and a
-// traced phase, so every per-layer metric is measured whichever workload
-// is named: the named workload gets half of the time and gives the
-// metrics every workload has, and each other workload gives the metrics
-// of the layers only it reaches. Spans are written out at the end.
-func runLayerMap(dir, named string, seed uint64, d time.Duration) (result, error) {
-	var res result
-	byWorkload := map[string]*phases{}
-	sources := map[string][][]span{}
-	for _, w := range workloadOrder {
-		share := d / 8
-		if w == named {
-			share = d / 4
-		}
-		// Untraced and traced reps alternate, so drift in the host's
-		// speed falls on both and leaves the tracing overhead.
-		unReps, trReps, err := runReps(dir, w, seed, 2*layerReps, share/layerReps,
-			func(i int) bool { return i%2 == 1 })
-		if err != nil {
-			return result{}, err
-		}
-		un, tr := pool(unReps), pool(trReps)
-		res.count(un)
-		res.count(tr)
-		all := append(tr.lanes[:len(tr.lanes):len(tr.lanes)], tr.exec...)
-		byWorkload[w] = &phases{untraced: un, traced: tr, lt: collectLayers(all)}
-		sources[w] = all
+// runLayerMap is the traced run of workload. Untraced and traced reps
+// alternate, so drift in the host's speed falls on both and leaves the
+// tracing overhead. Spans are written out at the end.
+func runLayerMap(dir, workload string, seed uint64, d time.Duration) (result, error) {
+	unReps, trReps, err := runReps(dir, workload, seed, 2*layerReps, d/(2*layerReps),
+		func(i int) bool { return i%2 == 1 })
+	if err != nil {
+		return result{}, err
 	}
-	printBreakdown(os.Stderr, named, byWorkload[named])
-	res.Metrics = perLayer(named, byWorkload)
+	un, tr := pool(unReps), pool(trReps)
+	var res result
+	res.count(un)
+	res.count(tr)
+	lanes := append(tr.lanes[:len(tr.lanes):len(tr.lanes)], tr.exec...)
+	ph := &phases{untraced: un, traced: tr, lt: collectLayers(lanes)}
+	printBreakdown(os.Stderr, workload, ph)
+	res.Metrics = perLayer(ph)
 	res.samples = map[string]int{}
-	for c, xs := range byWorkload["shm-pair"].untraced.class {
+	for c, xs := range un.class {
 		res.samples["op."+classNames[c]] = len(xs)
 	}
-	spans := filepath.Join(dir, fmt.Sprintf("spans-%s-seed%d.tsv", named, seed))
-	if err := writeSpans(spans, sources); err != nil {
+	spans := filepath.Join(dir, fmt.Sprintf("spans-%s-seed%d.tsv", workload, seed))
+	if err := writeSpans(spans, lanes); err != nil {
 		return result{}, err
 	}
 	return res, nil

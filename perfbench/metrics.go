@@ -102,18 +102,15 @@ func endToEnd(reps []repSummary) map[string]metric {
 	}
 }
 
-// layerMetric is one per-layer metric. home lists the workloads whose
-// phases can measure it: the named workload's are used when it is listed,
-// else the first listed one's. An empty home means every workload
-// measures it.
+// layerMetric is one per-layer metric. A metric of a layer the run's
+// workload does not reach has no data and reads 0; README.md lists the
+// workload each one is meant for.
 type layerMetric struct {
 	name, unit string
-	home       []string
 	value      func(ph *phases) float64
 }
 
-// phases holds one traced run: an untraced and a traced phase of the
-// workload a per-layer metric is read from.
+// phases holds one traced run: its untraced and traced phases.
 type phases struct {
 	untraced, traced *pooled
 	lt               layerTimes
@@ -121,95 +118,79 @@ type phases struct {
 
 func p50(xs []float64) float64 { return percentile(slices.Clone(xs), 0.50) }
 
-var (
-	shmOnly  = []string{"shm-pair"}
-	dhtOnly  = []string{"dht-batch"}
-	taskOnly = []string{"task-drain"}
-)
-
 // layerMetrics is the per-layer set, in report order.
 var layerMetrics = []layerMetric{
-	{"core.inject_us", "us", shmOnly, func(ph *phases) float64 { return p50(ph.lt.dur[spCoreInject]) }},
-	{"core.wait_us", "us", []string{"shm-pair", "dht-batch"}, func(ph *phases) float64 { return p50(ph.lt.dur[spCoreWait]) }},
-	{"core.rpc_req_us", "us", shmOnly, func(ph *phases) float64 { return p50(ph.traced.rpcReq) }},
-	{"core.rpc_reply_us", "us", shmOnly, func(ph *phases) float64 { return p50(ph.traced.rpcReply) }},
-	{"core.progress_useful_frac", "frac", nil, func(ph *phases) float64 {
+	{"core.inject_us", "us", func(ph *phases) float64 { return p50(ph.lt.dur[spCoreInject]) }},
+	{"core.wait_us", "us", func(ph *phases) float64 { return p50(ph.lt.dur[spCoreWait]) }},
+	{"core.rpc_req_us", "us", func(ph *phases) float64 { return p50(ph.traced.rpcReq) }},
+	{"core.rpc_reply_us", "us", func(ph *phases) float64 { return p50(ph.traced.rpcReply) }},
+	{"core.progress_useful_frac", "frac", func(ph *phases) float64 {
 		c := ph.traced.c
 		return 1 - ratio(float64(c.EmptyPasses), float64(c.Passes))
 	}},
-	{"core.doorbell_rings_per_op", "1/op", shmOnly, func(ph *phases) float64 { return perOp(ph, ph.traced.c.Rings) }},
-	{"core.wakeups_per_op", "1/op", shmOnly, func(ph *phases) float64 { return perOp(ph, ph.traced.c.Wakeups) }},
+	{"core.doorbell_rings_per_op", "1/op", func(ph *phases) float64 { return perOp(ph, ph.traced.c.Rings) }},
+	{"core.wakeups_per_op", "1/op", func(ph *phases) float64 { return perOp(ph, ph.traced.c.Wakeups) }},
 	// A frame leaves either as a ring record (the shm fast path) or on the
 	// socket (FramesOut); only socket frames count toward BytesOut.
-	{"gasnet.frames_per_op", "1/op", shmOnly, func(ph *phases) float64 {
+	{"gasnet.frames_per_op", "1/op", func(ph *phases) float64 {
 		return perOp(ph, ph.traced.c.RingRecords+ph.traced.c.Frames)
 	}},
-	{"gasnet.bytes_per_op", "B/op", shmOnly, func(ph *phases) float64 { return perOp(ph, ph.traced.c.Bytes) }},
-	{"gasnet.ring_fastpath_frac", "frac", shmOnly, func(ph *phases) float64 {
+	{"gasnet.bytes_per_op", "B/op", func(ph *phases) float64 { return perOp(ph, ph.traced.c.Bytes) }},
+	{"gasnet.ring_fastpath_frac", "frac", func(ph *phases) float64 {
 		c := ph.traced.c
 		return ratio(float64(c.RingRecords), float64(c.RingRecords+c.Frames))
 	}},
-	{"gasnet.doorbells_per_frame", "1/frame", shmOnly, func(ph *phases) float64 {
+	{"gasnet.doorbells_per_frame", "1/frame", func(ph *phases) float64 {
 		return ratio(float64(ph.traced.c.RingDoorbells), float64(ph.traced.c.RingRecords))
 	}},
-	{"dht.insert_us", "us", dhtOnly, func(ph *phases) float64 { return p50(ph.lt.dur[spDHTInsert]) }},
-	{"dht.flush_us", "us", dhtOnly, func(ph *phases) float64 { return p50(ph.lt.dur[spDHTFlush]) }},
-	{"dht.inserts_per_msg", "1/msg", dhtOnly, func(ph *phases) float64 {
-		return ratio(float64(ph.traced.ops), float64(ph.traced.c.WireMsgs))
+	{"dht.insert_us", "us", func(ph *phases) float64 { return p50(ph.lt.dur[spDHTInsert]) }},
+	{"dht.flush_us", "us", func(ph *phases) float64 { return p50(ph.lt.dur[spDHTFlush]) }},
+	{"dht.inserts_per_msg", "1/msg", func(ph *phases) float64 {
+		return ratio(float64(len(ph.lt.dur[spDHTInsert])), float64(ph.traced.c.WireMsgs))
 	}},
-	{"task.spawn_us", "us", taskOnly, func(ph *phases) float64 { return p50(ph.lt.dur[spTaskSpawn]) }},
-	{"task.finish_us", "us", taskOnly, func(ph *phases) float64 { return p50(ph.lt.dur[spTaskFinish]) }},
-	{"task.queue_wait_us", "us", taskOnly, func(ph *phases) float64 { return p50(ph.traced.queue) }},
-	{"task.exec_us", "us", taskOnly, func(ph *phases) float64 { return p50(ph.lt.dur[spTaskExec]) }},
-	{"task.stolen_frac", "frac", taskOnly, func(ph *phases) float64 {
+	{"task.spawn_us", "us", func(ph *phases) float64 { return p50(ph.lt.dur[spTaskSpawn]) }},
+	{"task.finish_us", "us", func(ph *phases) float64 { return p50(ph.lt.dur[spTaskFinish]) }},
+	{"task.queue_wait_us", "us", func(ph *phases) float64 { return p50(ph.traced.queue) }},
+	{"task.exec_us", "us", func(ph *phases) float64 { return p50(ph.lt.dur[spTaskExec]) }},
+	{"task.stolen_frac", "frac", func(ph *phases) float64 {
 		t := ph.traced.c.Tasks
 		return ratio(float64(t[obs.TaskStolen]), float64(t[obs.TaskExecuted]))
 	}},
-	{"task.steal_success_frac", "frac", taskOnly, func(ph *phases) float64 {
+	{"task.steal_success_frac", "frac", func(ph *phases) float64 {
 		t := ph.traced.c.Tasks
-		return 1 - ratio(float64(t[obs.TaskStealFails]), float64(t[obs.TaskStealReqs]))
+		return ratio(float64(t[obs.TaskStealReqs])-float64(t[obs.TaskStealFails]), float64(t[obs.TaskStealReqs]))
 	}},
-	{"task.detect_rounds_per_finish", "1/finish", taskOnly, func(ph *phases) float64 {
+	{"task.detect_rounds_per_finish", "1/finish", func(ph *phases) float64 {
 		// Every rank counts each detector wave it takes part in.
 		return ratio(float64(ph.traced.c.Tasks[obs.TaskDetectRounds]), float64(2*ph.traced.rounds))
 	}},
-	{"bench.self_us", "us/op", nil, func(ph *phases) float64 {
+	{"bench.self_us", "us/op", func(ph *phases) float64 {
 		self := 0.0
 		for _, n := range []spanName{spBenchOp, spBenchRound} {
 			self += sum(ph.lt.self[n])
 		}
 		return ratio(self, float64(ph.traced.ops))
 	}},
-	{"obs.trace_overhead_frac", "frac", nil, func(ph *phases) float64 {
+	{"obs.trace_overhead_frac", "frac", func(ph *phases) float64 {
 		return 1 - ratio(ph.traced.rate(), ph.untraced.rate())
 	}},
-	{"trace.residual_frac", "frac", nil, func(ph *phases) float64 {
+	{"trace.residual_frac", "frac", func(ph *phases) float64 {
 		return 1 - ratio(float64(rootTime(ph.traced.lanes)), float64(ph.traced.laneWall))
 	}},
-	{"op.put_p50_us", "us", shmOnly, func(ph *phases) float64 { return p50(ph.untraced.class[classPut]) }},
-	{"op.get_p50_us", "us", shmOnly, func(ph *phases) float64 { return p50(ph.untraced.class[classGet]) }},
-	{"op.amo_p50_us", "us", shmOnly, func(ph *phases) float64 { return p50(ph.untraced.class[classAMO]) }},
-	{"op.rpc_p50_us", "us", shmOnly, func(ph *phases) float64 { return p50(ph.untraced.class[classRPC]) }},
-	{"op.p99_us", "us", shmOnly, func(ph *phases) float64 { return percentile(slices.Clone(ph.untraced.unit), 0.99) }},
+	{"op.put_p50_us", "us", func(ph *phases) float64 { return p50(ph.untraced.class[classPut]) }},
+	{"op.get_p50_us", "us", func(ph *phases) float64 { return p50(ph.untraced.class[classGet]) }},
+	{"op.amo_p50_us", "us", func(ph *phases) float64 { return p50(ph.untraced.class[classAMO]) }},
+	{"op.rpc_p50_us", "us", func(ph *phases) float64 { return p50(ph.untraced.class[classRPC]) }},
+	{"op.p99_us", "us", func(ph *phases) float64 { return percentile(slices.Concat(ph.untraced.class[:]...), 0.99) }},
 }
 
 func perOp(ph *phases, n uint64) float64 { return ratio(float64(n), float64(ph.traced.ops)) }
 
-// sourceOf is the workload whose phases give metric m when the run is
-// named for workload named.
-func sourceOf(m layerMetric, named string) string {
-	if len(m.home) == 0 || slices.Contains(m.home, named) {
-		return named
-	}
-	return m.home[0]
-}
-
-// perLayer computes every per-layer metric from the traced run's phases,
-// keyed by workload.
-func perLayer(named string, byWorkload map[string]*phases) map[string]metric {
+// perLayer computes every per-layer metric from the traced run's phases.
+func perLayer(ph *phases) map[string]metric {
 	out := make(map[string]metric, len(layerMetrics))
 	for _, m := range layerMetrics {
-		v := m.value(byWorkload[sourceOf(m, named)])
+		v := m.value(ph)
 		if math.IsNaN(v) {
 			v = 0
 		}

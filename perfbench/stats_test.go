@@ -148,15 +148,18 @@ func TestCountersSub(t *testing.T) {
 	}
 }
 
-func TestSourceOf(t *testing.T) {
-	wait := layerMetric{name: "core.wait_us", home: []string{"shm-pair", "dht-batch"}}
-	for named, want := range map[string]string{"shm-pair": "shm-pair", "dht-batch": "dht-batch", "task-drain": "shm-pair"} {
-		if got := sourceOf(wait, named); got != want {
-			t.Errorf("sourceOf(core.wait_us, %s) = %s, want %s", named, got, want)
-		}
+// TestPerLayerWithoutData checks that a traced run with no spans or
+// counters, as for a layer the named workload does not reach, reports 0
+// for every metric of a single layer.
+func TestPerLayerWithoutData(t *testing.T) {
+	every := map[string]bool{ // measured on every workload
+		"core.progress_useful_frac": true, "obs.trace_overhead_frac": true, "trace.residual_frac": true,
 	}
-	if got := sourceOf(layerMetric{name: "bench.self_us"}, "task-drain"); got != "task-drain" {
-		t.Errorf("sourceOf(bench.self_us, task-drain) = %s", got)
+	got := perLayer(&phases{untraced: &pooled{}, traced: &pooled{ops: 100, rounds: 10}})
+	for _, m := range layerMetrics {
+		if v := got[m.name].Value; !every[m.name] && v != 0 {
+			t.Errorf("%s = %v with no data, want 0", m.name, v)
+		}
 	}
 }
 

@@ -18,9 +18,13 @@ import (
 )
 
 const (
-	drainTasks      = 128 // tasks spawned per round
-	drainGrain      = 256 // mixing steps per task body
-	drainWarmRounds = 8   // untimed rounds before the first timed one
+	drainTasks = 128 // tasks spawned per round
+	drainGrain = 256 // mixing steps per task body
+	// drainWarmRounds is the untimed rounds before the first timed one.
+	// One round's time varies widely (its p90 is about 3× its p50), so
+	// set-up runs enough of them for their sum, most of setup_s, to be
+	// steady from one rep to the next.
+	drainWarmRounds = 32
 )
 
 // grainArg is one task's input; Spawn is the spawn time on the rank-0

@@ -156,22 +156,19 @@ func sum(xs []float64) float64 {
 
 func us(ns int64) float64 { return float64(ns) / 1e3 }
 
-// writeSpans writes every span as one tab-separated line: the workload it
-// came from, the lane's index among that workload's lanes (parent indexes
-// count within it), the recording rank (2: task bodies), name, parent,
-// op id, start and end.
-func writeSpans(path string, sources map[string][][]span) error {
+// writeSpans writes every span as one tab-separated line: the lane's
+// index (parent indexes count within it), the recording rank (2: task
+// bodies), name, parent, op id, start and end.
+func writeSpans(path string, lanes [][]span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("write spans: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, "workload\tlane\trank\tname\tparent\top\tstart_ns\tend_ns")
-	for src, lanes := range sources {
-		for li, spans := range lanes {
-			for _, s := range spans {
-				fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%d\t%d\t%d\t%d\n", src, li, s.Rank, spanNames[s.Name], s.Parent, s.Op, s.Start, s.End)
-			}
+	fmt.Fprintln(w, "lane\trank\tname\tparent\top\tstart_ns\tend_ns")
+	for li, spans := range lanes {
+		for _, s := range spans {
+			fmt.Fprintf(w, "%d\t%d\t%s\t%d\t%d\t%d\t%d\n", li, s.Rank, spanNames[s.Name], s.Parent, s.Op, s.Start, s.End)
 		}
 	}
 	if err := w.Flush(); err != nil {
