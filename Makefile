@@ -27,9 +27,11 @@ test-short:
 # matrix, zero-copy capture, doorbell coalescing), and the async-task
 # runtime's conformance matrix ({AsyncAt,AsyncAtFF,Finish} × {self,cross}
 # × {steal on,off} × {LogGP,in-process} plus groups, worker concurrency,
-# and the spawn→steal→execute trace pipeline).
+# and the spawn→steal→execute trace pipeline), and the goroutine-id path
+# (the calibrated read against runtime.Stack, its fallback, zero stack
+# parses per op, off-drain execBody delivery).
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch'
+	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch|GID'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment'
 	$(GO) test -race ./internal/obs/
@@ -59,8 +61,11 @@ examples-run:
 		$(GO) run ./$$d; \
 	done
 
+# The arm64 pass keeps the non-amd64 goroutine-id fallback compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/core
+	GOARCH=arm64 $(GO) build ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

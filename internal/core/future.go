@@ -63,9 +63,10 @@ func (c *futCore[T]) fulfill(v T) {
 // fulfillOwned is fulfill for callers already known to be on the owning
 // persona's goroutine — above all LPCs delivered to that persona, whose
 // drain only ever runs on the owner. It skips the goroutine-id check
-// (curGID parses runtime.Stack, ~1µs) that fulfill would otherwise pay on
-// every harvested completion; the runtime's RMA/RPC/AMO completion LPCs
-// all land here.
+// that fulfill would otherwise pay on every harvested completion (a few
+// ns on the calibrated path, microseconds where curGID parses
+// runtime.Stack); the runtime's RMA/RPC/AMO completion LPCs all land
+// here.
 func (c *futCore[T]) fulfillOwned(v T) {
 	if c.ready {
 		panic("upcxx: future fulfilled twice")
@@ -127,9 +128,8 @@ func (f Future[T]) Wait() T {
 	if !c.ready && gs.restricted {
 		panic("upcxx: Wait inside restricted context (callback or RPC body)")
 	}
-	// Ownership check against the cached gid: onOwnerGoroutine would
-	// re-derive it (an unheld persona reads holder 0, which never equals
-	// a gid, preserving the panic below).
+	// Ownership check against the state's gid (an unheld persona reads
+	// holder 0, which never equals a gid, preserving the panic below).
 	if !c.ready && c.pers != nil && c.pers.holder.Load() != gs.gid {
 		// This goroutine cannot drain the owning persona, so the wait
 		// could never complete (and the reads would race with the

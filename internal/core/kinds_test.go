@@ -380,10 +380,14 @@ func TestKindsConcurrent(t *testing.T) {
 	const users, iters = 4, 16
 	RunConfig(Config{Ranks: 2, ProgressThread: true}, func(rk *Rank) {
 		da := NewDeviceAllocator(rk, 1<<20)
-		// One device strip per (user, rank) so transfers never alias.
+		// One device strip per (user, rank) so transfers never alias:
+		// devs[u] is the peer's user u's RPut/RGet target, selfs[u] the
+		// local user u's d2d self-copy.
 		devs := make([]GPtr[int32], users)
+		selfs := make([]GPtr[int32], users)
 		for u := range devs {
 			devs[u] = MustNewDeviceArray[int32](da, kindsN)
+			selfs[u] = MustNewDeviceArray[int32](da, kindsN)
 		}
 		obj := NewDistObject(rk, devs)
 		rk.Barrier()
@@ -404,7 +408,7 @@ func TestKindsConcurrent(t *testing.T) {
 						src[i] = seed + int32(i)
 					}
 					// h2d to the peer's device strip, d2h back, then a
-					// same-rank d2d between my strip and itself.
+					// same-rank d2d between my self-copy strip and itself.
 					RPut(rk, src, remote[u]).Wait()
 					RGet(rk, remote[u], got).Wait()
 					for i := range got {
@@ -413,7 +417,7 @@ func TestKindsConcurrent(t *testing.T) {
 							return
 						}
 					}
-					CopyGG(rk, devs[u], devs[u].Add(0), kindsN).Wait()
+					CopyGG(rk, selfs[u], selfs[u].Add(0), kindsN).Wait()
 				}
 			}()
 		}

@@ -2,7 +2,6 @@ package upcxx
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -172,6 +171,19 @@ func (p *Persona) drain() int {
 	return n
 }
 
+// runOrLPC delivers fn to p: inline when the calling goroutine holds p
+// and p's LPC queue is empty, through the queue otherwise. The
+// empty-queue condition keeps delivery FIFO: a body harvested now must
+// not overtake one another goroutine already queued to p (a signaling
+// put's landing ahead of the RPC that reads it, say).
+func (p *Persona) runOrLPC(fn func()) {
+	if p.holder.Load() == curGID() && p.npend.Load() == 0 {
+		fn()
+		return
+	}
+	p.LPC(fn)
+}
+
 // onOwnerGoroutine reports whether the calling goroutine currently holds
 // this persona.
 func (p *Persona) onOwnerGoroutine() bool {
@@ -187,36 +199,13 @@ func (p *Persona) onOwnerGoroutine() bool {
 // scope. Only the owning goroutine reads or writes its state; the
 // registry map itself is the only cross-goroutine structure.
 type goroutineState struct {
-	gid        uint64 // the owning goroutine's id, derived once
+	gid        uint64 // the owning goroutine's id
 	stack      []*Persona
 	defaults   map[*Rank]*Persona
 	restricted bool // inside user-level progress (callback/RPC body)
 }
 
 var tlsStates sync.Map // goroutine id -> *goroutineState
-
-// gidLookups counts curGID invocations. The lookup parses runtime.Stack
-// (~0.5–1µs, comparable to the modeled LogGP overheads), so hot paths —
-// fulfill, execBody, the progress loop — must not re-derive it per call;
-// TestGIDLookupsCached pins that property against regression.
-var gidLookups atomic.Uint64
-
-// curGID returns the calling goroutine's id, parsed from the
-// runtime.Stack header ("goroutine N [status]:"). Go never reuses
-// goroutine ids within a process.
-func curGID() uint64 {
-	gidLookups.Add(1)
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	var id uint64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
 
 func curState() *goroutineState {
 	id := curGID()

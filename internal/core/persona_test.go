@@ -2,6 +2,7 @@ package upcxx
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,6 +124,28 @@ func TestPersonaLPCFIFOCrossThread(t *testing.T) {
 			if v != i {
 				t.Fatalf("LPC order broken at %d: got %d", i, v)
 			}
+		}
+	})
+}
+
+// TestPersonaExecBodyKeepsFIFO: a body handed to the execution persona
+// by its own holder must not overtake LPCs already queued there (another
+// harvester's earlier body, a signaling put's landing); with the queue
+// empty it runs inline.
+func TestPersonaExecBodyKeepsFIFO(t *testing.T) {
+	Run(1, func(rk *Rank) {
+		var got []int
+		rk.MasterPersona().LPC(func() { got = append(got, 1) })
+		rk.execBody(func() { got = append(got, 2) })
+		if len(got) != 0 {
+			t.Fatalf("body ran inline ahead of a queued LPC: %v", got)
+		}
+		for len(got) < 2 {
+			rk.Progress()
+		}
+		rk.execBody(func() { got = append(got, 3) })
+		if want := []int{1, 2, 3}; !slices.Equal(got, want) {
+			t.Errorf("delivery order %v, want %v (the last inline)", got, want)
 		}
 	})
 }

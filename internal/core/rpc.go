@@ -88,49 +88,31 @@ func mustUnmarshal(b []byte, ptr any) {
 // example — and everything a body creates (promises, inner futures,
 // deferred replies) binds to the current persona, so bodies must not
 // execute on a persona that stops being drained when its goroutine
-// exits. If the calling goroutine already holds the durable persona the
-// body runs inline; otherwise it is delivered by LPC.
+// exits. The body runs inline only when the calling goroutine holds the
+// durable persona and nothing is queued on it (runOrLPC); otherwise it
+// is delivered by LPC.
 func (rk *Rank) execBody(fn func()) {
-	// The harvesting goroutine's id rides along as the conduit poll
-	// token (progressWith passes it to PollAMsAs), so a drain of many
-	// AMs resolves it once instead of re-deriving it per message —
-	// curGID costs ~1µs of runtime.Stack parsing. Outside an AM drain
-	// (token 0) fall back to deriving it here.
-	gid := rk.ep.PollerToken()
-	if gid == 0 {
-		gid = curGID()
-	}
-	if rk.w.cfg.ProgressThread {
-		// Always route to the progress persona (inline only when the
-		// progress thread itself harvested the AM). No unheld fallback:
-		// during the startup window before progressLoop acquires its
-		// persona, running inline would bind deferred state to a
-		// transient harvester — queued bodies are drained as soon as
-		// the thread comes up.
-		if rk.progressP.holder.Load() == gid {
-			fn()
-			return
-		}
-		rk.progressP.LPC(fn)
-		return
-	}
-	if h := rk.master.holder.Load(); h == gid || h == 0 {
-		// Run inline when the caller holds the master persona — or when
-		// nobody does (a World driven without Run): queuing to an unheld
-		// master would stall every incoming RPC, and the harvesting
-		// goroutine is by definition making progress.
+	// In progress-thread mode there is no unheld fallback: during the
+	// startup window before progressLoop acquires its persona, running
+	// inline would bind deferred state to a transient harvester — queued
+	// bodies are drained as soon as the thread comes up.
+	if !rk.w.cfg.ProgressThread && rk.master.holder.Load() == 0 {
+		// Nobody holds the master persona (a World driven without Run):
+		// queuing to it would stall every incoming RPC, and the
+		// harvesting goroutine is by definition making progress.
 		fn()
 		return
 	}
-	rk.master.LPC(fn)
+	rk.execPersona().runOrLPC(fn)
 }
 
 // execBodyOn runs an incoming RPC body on the persona the initiator named
 // with RPCBodyOn, or falls back to the rank's durable execution persona
-// (execBody) when none was named. Like every persona delivery, the body
-// runs inline only when the harvesting goroutine already holds the named
-// persona; otherwise it lands in that persona's LPC queue, executed when
-// the owning goroutine next makes progress.
+// (execBody) when none was named. Like every body delivery, it runs
+// inline only when the harvesting goroutine already holds the named
+// persona and nothing is queued on it; otherwise it lands in that
+// persona's LPC queue, executed when the owning goroutine next makes
+// progress.
 func (rk *Rank) execBodyOn(p *Persona, fn func()) {
 	if p == nil {
 		rk.execBody(fn)
@@ -140,11 +122,7 @@ func (rk *Rank) execBodyOn(p *Persona, fn func()) {
 		panic(fmt.Sprintf("upcxx: rank %d: rpc body persona %v belongs to rank %d",
 			rk.me, p, p.rk.me))
 	}
-	if p.onOwnerGoroutine() {
-		fn()
-		return
-	}
-	p.LPC(fn)
+	p.runOrLPC(fn)
 }
 
 // splitBodyPersona peels RPCBodyOn pseudo-descriptors off an RPC's

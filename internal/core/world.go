@@ -470,9 +470,7 @@ func (rk *Rank) progressWith(gs *goroutineState) int {
 	// body must not leave the goroutine restricted forever.
 	defer func() { gs.restricted = false }()
 	done := rk.drainPersonas(gs)
-	// The goroutine id rides along as the poll token so execBody resolves
-	// the harvester once per drain instead of per message.
-	done += rk.ep.PollAMsAs(gs.gid)
+	done += rk.ep.PollAMs()
 	// AM handlers deliver through persona LPCs (RPC replies, collective
 	// advances); drain again so completions land in the same call.
 	done += rk.drainPersonas(gs)

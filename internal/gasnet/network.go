@@ -302,7 +302,6 @@ type Endpoint struct {
 	compQ   []func()    // completions to run on the owner during Poll
 	amQ     []inboundAM // delivered AMs awaiting handler execution
 	polling bool        // guards against recursive progress (restricted context)
-	pollTok uint64      // opaque token of the goroutine draining amQ
 
 	notify chan struct{} // 1-slot doorbell for WaitPending
 
@@ -548,20 +547,13 @@ func (ep *Endpoint) PollCompletions() int {
 // the qmu-guarded polling flag (which doubles as UPC++'s restricted
 // progress context), so at most one goroutine executes handlers at a
 // time and handlers arriving while draining run on the next call.
-func (ep *Endpoint) PollAMs() int { return ep.PollAMsAs(0) }
-
-// PollAMsAs is PollAMs carrying an opaque poller token (the runtime passes
-// the harvesting goroutine's id). While the call is draining handlers,
-// PollerToken returns tok — letting handler code learn which goroutine is
-// executing it without re-deriving the id per message.
-func (ep *Endpoint) PollAMsAs(tok uint64) int {
+func (ep *Endpoint) PollAMs() int {
 	ep.qmu.Lock()
 	if ep.polling {
 		ep.qmu.Unlock()
 		return 0
 	}
 	ep.polling = true
-	ep.pollTok = tok
 	ams := ep.amQ
 	ep.amQ = nil
 	ep.qmu.Unlock()
@@ -573,18 +565,8 @@ func (ep *Endpoint) PollAMsAs(tok uint64) int {
 
 	ep.qmu.Lock()
 	ep.polling = false
-	ep.pollTok = 0
 	ep.qmu.Unlock()
 	return len(ams)
-}
-
-// PollerToken returns the token passed to the PollAMsAs call currently
-// executing handlers, or 0 outside a drain. Only meaningful when called
-// from within an AM handler (where the draining claim is held).
-func (ep *Endpoint) PollerToken() uint64 {
-	ep.qmu.Lock()
-	defer ep.qmu.Unlock()
-	return ep.pollTok
 }
 
 // Poll drains completions then Active Messages, returning the number of
