@@ -1,8 +1,12 @@
 package upcxx
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
+	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
 )
 
@@ -193,6 +197,53 @@ func TestObsTraceTimeline(t *testing.T) {
 		}
 		rk.Barrier()
 	})
+
+	// Traced gets record the same hops — stage and rank — on the
+	// zero-delay conduit as under a LogGP model: the request's wire hop
+	// at the source, the device source's d2h DMA there, the landing back
+	// at the initiator.
+	zero := tracedGetHops(t, nil)
+	loggp := tracedGetHops(t, &gasnet.LogGP{L: 2 * time.Microsecond, Gp: time.Microsecond})
+	if len(zero) != 2 {
+		t.Fatalf("zero-delay: %d traced get timelines, want 2 (host, device)", len(zero))
+	}
+	if !reflect.DeepEqual(zero, loggp) {
+		t.Errorf("traced get hops differ:\n zero-delay %v\n LogGP      %v", zero, loggp)
+	}
+}
+
+// tracedGetHops runs a traced host RGet and a traced device RGet from
+// rank 0 against rank 1 on a world with the given timing model, and
+// returns each get's timeline as "stage@rank" hops.
+func tracedGetHops(t *testing.T, model gasnet.Model) [][]string {
+	t.Helper()
+	var out [][]string
+	RunConfig(Config{Ranks: 2, Stats: true, TraceDepth: 256, Model: model}, func(rk *Rank) {
+		host := MustNewArray[int32](rk, 16)
+		dev := MustNewDeviceArray[int32](NewDeviceAllocator(rk, 1<<12), 16)
+		hObj, dObj := NewDistObject(rk, host), NewDistObject(rk, dev)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			hp := FetchDist[GPtr[int32]](rk, hObj.ID(), 1).Wait()
+			dp := FetchDist[GPtr[int32]](rk, dObj.ID(), 1).Wait()
+			RGet(rk, hp, make([]int32, 16)).Wait()
+			RGet(rk, dp, make([]int32, 16)).Wait()
+			s := rk.Stats()
+			for _, id := range s.TracedOps() {
+				tl := s.Timeline(id)
+				if len(tl) == 0 || tl[0].Kind != obs.KindGet {
+					continue
+				}
+				var hops []string
+				for _, ev := range tl {
+					hops = append(hops, fmt.Sprintf("%v@%d", ev.Stage, ev.At))
+				}
+				out = append(out, hops)
+			}
+		}
+		rk.Barrier()
+	})
+	return out
 }
 
 // TestObsEnvConfig checks the UPCXX_STATS / UPCXX_TRACE environment

@@ -52,12 +52,10 @@ func (ep *Endpoint) PutSeg(dst Rank, seg SegID, dstOff uint64, src []byte, onAck
 	ep.PutSegTag(dst, seg, dstOff, src, onAck, rem, obs.OpTag{})
 }
 
-// PutSegTag is PutSeg carrying the initiator's observability tag.
+// PutSegTag is PutSeg carrying the initiator's observability tag. A host
+// put is the chain with no DMA hop: one wire hop whose landing is the
+// last landing hop.
 func (ep *Endpoint) PutSegTag(dst Rank, seg SegID, dstOff uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) {
-	if seg == HostSeg {
-		ep.put(dst, dstOff, src, onAck, rem, tag)
-		return
-	}
 	n := len(src)
 	ep.puts.Add(1)
 	ep.putBytes.Add(uint64(n))
@@ -68,79 +66,67 @@ func (ep *Endpoint) PutSegTag(dst Rank, seg SegID, dstOff uint64, src []byte, on
 		return
 	}
 	tgt := ep.net.eps[dst]
-	tgt.countDMA(obs.DMAH2D, n)
+	dev := seg != HostSeg
+	if dev {
+		tgt.countDMA(obs.DMAH2D, n)
+	}
 	// Resolve eagerly: a wild device pointer or out-of-bounds range must
 	// fault on the initiating goroutine, not inside the delivery engine.
 	tb := tgt.SegByID(seg).Bytes(dstOff, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		if dst != ep.rank {
-			tag.WireMsg(ep.rank, dst, n)
-		}
-		if dst == ep.rank || !ep.net.gdr {
-			tag.Hop(obs.StageDMA, dst, n)
-		}
-		copy(tb, src)
+	m, dm, eng := ep.net.model, ep.net.dma, ep.net.eng
+	intra := ep.net.Intra(ep.rank, dst)
+	dgap, dlat := dm.Gap(n, false), dm.Latency(n, false)
+	// Same-rank h2d is a pure copy-engine hop, no NIC involvement, and
+	// its ack needs no wire trip back.
+	selfDMA := dev && dst == ep.rank
+	ackLat := m.Latency(0, intra)
+	if selfDMA {
+		ackLat = 0
+		spinFor(dm.Overhead(n))
+	} else {
+		spinFor(m.Overhead(n, intra))
+	}
+	staged := eng.capture(src)
+	tag.Hop(obs.StageCapture, ep.rank, n)
+
+	// land: the bytes are in the target segment at time at — the remote
+	// AM fires here, then the ack starts its trip back.
+	land := func(at time.Time) {
+		copy(tb, staged)
 		tag.Landing(dst, n)
 		ep.deliverRemote(dst, rem)
 		if onAck != nil {
-			ep.enqueueComp(onAck)
+			eng.complete(at.Add(ackLat), ep, onAck)
 		}
-		return
 	}
-	dm, eng := ep.net.dma, ep.net.eng
-	staged := append([]byte(nil), src...)
-	dgap, dlat := dm.Gap(n, false), dm.Latency(n, false)
-	if dst == ep.rank {
-		// Same-rank h2d: a pure copy-engine hop, no NIC involvement.
-		spinFor(dm.Overhead(n))
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		eng.injectDMAAt(int(dst), time.Now(), dgap, dlat, func(at time.Time) {
+	if selfDMA {
+		eng.injectDMAAt(int(dst), eng.now(), dgap, dlat, func(at time.Time) {
 			tag.Hop(obs.StageDMA, dst, n)
-			copy(tb, staged)
-			tag.Landing(dst, n)
-			ep.deliverRemote(dst, rem)
-			if onAck != nil {
-				eng.schedule(at, func(time.Time) { ep.enqueueComp(onAck) })
-			}
+			land(at)
 		})
 		return
 	}
-	m := ep.net.model
-	intra := ep.net.Intra(ep.rank, dst)
-	spinFor(m.Overhead(n, intra))
-	tag.Hop(obs.StageCapture, ep.rank, n)
 	tag.WireMsg(ep.rank, dst, n)
-	ackLat := m.Latency(0, intra)
-	if ep.net.gdr {
-		// GPUDirect: the NIC writes device memory as the wire hop lands —
-		// no target copy-engine descriptor, no host staging area. The
-		// wire landing is the last landing hop: remote AMs fire here.
-		eng.injectFrom(int(ep.rank), m.Gap(n, intra), m.Latency(n, intra), func(at time.Time) {
-			tag.Hop(obs.StageWire, dst, n)
-			copy(tb, staged)
-			tag.Landing(dst, n)
-			ep.deliverRemote(dst, rem)
-			if onAck != nil {
-				eng.schedule(at.Add(ackLat), func(time.Time) { ep.enqueueComp(onAck) })
-			}
-		})
+	if !dev {
+		eng.injectFrom(int(ep.rank), m.Gap(n, intra), m.Latency(n, intra), land)
 		return
 	}
 	eng.injectFrom(int(ep.rank), m.Gap(n, intra), m.Latency(n, intra), func(at time.Time) {
+		tag.Hop(obs.StageWire, dst, n)
+		if ep.net.gdr {
+			// GPUDirect: the NIC writes device memory as the wire hop
+			// lands — no target copy-engine descriptor, no host staging
+			// area. The wire landing is the last landing hop.
+			land(at)
+			return
+		}
 		// Landed in the target's host staging area; the target's copy
 		// engine now moves it into device memory, then the ack returns.
 		// The remote AM waits for the DMA hop too: remote completion
 		// means visible *in device memory*, not merely at the NIC.
-		tag.Hop(obs.StageWire, dst, n)
-		eng.injectDMAAt(int(dst), at, dgap, dlat, func(at2 time.Time) {
+		eng.injectDMAAt(int(dst), at, dgap, dlat, func(at time.Time) {
 			tag.Hop(obs.StageDMA, dst, n)
-			copy(tb, staged)
-			tag.Landing(dst, n)
-			ep.deliverRemote(dst, rem)
-			if onAck != nil {
-				eng.schedule(at2.Add(ackLat), func(time.Time) { ep.enqueueComp(onAck) })
-			}
+			land(at)
 		})
 	})
 }
@@ -152,12 +138,10 @@ func (ep *Endpoint) GetSeg(src Rank, seg SegID, srcOff uint64, dst []byte, onDon
 	ep.GetSegTag(src, seg, srcOff, dst, onDone, obs.OpTag{})
 }
 
-// GetSegTag is GetSeg carrying the initiator's observability tag.
+// GetSegTag is GetSeg carrying the initiator's observability tag. The
+// payload lands at the *initiator* (that is where a get's data becomes
+// visible), so the landing edge is recorded against ep.rank.
 func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, onDone func(), tag obs.OpTag) {
-	if seg == HostSeg {
-		ep.get(src, srcOff, dst, onDone, tag)
-		return
-	}
 	n := len(dst)
 	ep.gets.Add(1)
 	ep.getBytes.Add(uint64(n))
@@ -166,77 +150,57 @@ func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, on
 		return
 	}
 	rem := ep.net.eps[src]
-	rem.countDMA(obs.DMAD2H, n)
+	dev := seg != HostSeg
+	if dev {
+		rem.countDMA(obs.DMAD2H, n)
+	}
 	sb := rem.SegByID(seg).Bytes(srcOff, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, 0)
-		if src != ep.rank {
-			tag.WireMsg(ep.rank, src, 0)
-			tag.WireMsg(src, ep.rank, n)
-		}
-		if src == ep.rank || !ep.net.gdr {
-			tag.Hop(obs.StageDMA, src, n)
-		}
-		copy(dst, sb)
+	m, dm, eng := ep.net.model, ep.net.dma, ep.net.eng
+	dgap, dlat := dm.Gap(n, false), dm.Latency(n, false)
+	staged := sb
+
+	// land: the payload is in dst.
+	land := func(time.Time) {
+		copy(dst, staged)
 		tag.Landing(ep.rank, n)
 		if onDone != nil {
 			ep.enqueueComp(onDone)
 		}
-		return
 	}
-	dm, eng := ep.net.dma, ep.net.eng
-	dgap, dlat := dm.Gap(n, false), dm.Latency(n, false)
-	if src == ep.rank {
+	if dev && src == ep.rank {
 		// Same-rank d2h: one copy-engine hop.
 		spinFor(dm.Overhead(n))
 		tag.Hop(obs.StageCapture, ep.rank, 0)
-		eng.injectDMAAt(int(src), time.Now(), dgap, dlat, func(at time.Time) {
+		eng.injectDMAAt(int(src), eng.now(), dgap, dlat, func(at time.Time) {
 			tag.Hop(obs.StageDMA, src, n)
-			copy(dst, sb)
-			tag.Landing(ep.rank, n)
-			if onDone != nil {
-				eng.schedule(at, func(time.Time) { ep.enqueueComp(onDone) })
-			}
+			land(at)
 		})
 		return
 	}
-	m := ep.net.model
 	intra := ep.net.Intra(ep.rank, src)
 	spinFor(m.Overhead(0, intra))
 	tag.Hop(obs.StageCapture, ep.rank, 0)
 	tag.WireMsg(ep.rank, src, 0)
 	tag.WireMsg(src, ep.rank, n)
-	if ep.net.gdr {
-		// GPUDirect: the source NIC reads device memory directly when it
-		// injects the reply — no d2h descriptor, no host bounce buffer.
-		eng.injectFrom(int(ep.rank), m.Gap(0, intra), m.Latency(0, intra), func(at time.Time) {
-			tag.Hop(obs.StageWire, src, 0)
-			staged := append([]byte(nil), sb...)
-			eng.injectFromAt(int(src), at, m.Gap(n, intra), m.Latency(n, intra), func(time.Time) {
-				copy(dst, staged)
-				tag.Landing(ep.rank, n)
-				if onDone != nil {
-					ep.enqueueComp(onDone)
-				}
-			})
-		})
-		return
+	// reply: the source NIC injects the payload at time at.
+	reply := func(at time.Time) {
+		staged = eng.capture(sb)
+		eng.injectFromAt(int(src), at, m.Gap(n, intra), m.Latency(n, intra), land)
 	}
-	// Request hop to the source, d2h DMA into the host bounce buffer,
-	// then the reply carries the payload back over the wire.
+	// The request travels to the source NIC; the reply carries the payload.
 	eng.injectFrom(int(ep.rank), m.Gap(0, intra), m.Latency(0, intra), func(at time.Time) {
 		tag.Hop(obs.StageWire, src, 0)
-		eng.injectDMAAt(int(src), at, dgap, dlat, func(at2 time.Time) {
-			tag.Hop(obs.StageDMA, src, n)
-			staged := append([]byte(nil), sb...)
-			eng.injectFromAt(int(src), at2, m.Gap(n, intra), m.Latency(n, intra), func(time.Time) {
-				copy(dst, staged)
-				tag.Landing(ep.rank, n)
-				if onDone != nil {
-					ep.enqueueComp(onDone)
-				}
+		if dev && !ep.net.gdr {
+			// d2h DMA into the source's host bounce buffer first.
+			eng.injectDMAAt(int(src), at, dgap, dlat, func(at time.Time) {
+				tag.Hop(obs.StageDMA, src, n)
+				reply(at)
 			})
-		})
+			return
+		}
+		// Host source, or (GPUDirect) the source NIC reads device memory
+		// directly when it injects the reply: no d2h descriptor, no bounce.
+		reply(at)
 	})
 }
 
@@ -296,19 +260,6 @@ func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRan
 	}
 	sb := srcEP.SegByID(srcSeg).Bytes(srcOff, n)
 	db := dstEP.SegByID(dstSeg).Bytes(dstOff, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, 0)
-		if (srcDev || dstDev) && (srcRank == dstRank || !gdr) {
-			tag.Hop(obs.StageDMA, srcRank, n)
-		}
-		copy(db, sb)
-		tag.Landing(dstRank, n)
-		ep.deliverRemote(dstRank, rem)
-		if onDone != nil {
-			ep.enqueueComp(onDone)
-		}
-		return
-	}
 	m, dm, eng := ep.net.model, ep.net.dma, ep.net.eng
 	var staged []byte
 
@@ -326,7 +277,7 @@ func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRan
 			return
 		}
 		if dstRank == ep.rank {
-			eng.schedule(at, func(time.Time) { ep.enqueueComp(onDone) })
+			eng.complete(at, ep, onDone)
 			return
 		}
 		intra := ep.net.Intra(dstRank, ep.rank)
@@ -392,14 +343,14 @@ func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRan
 		if srcDev && !gdr {
 			eng.injectDMAAt(int(srcRank), at, dm.Gap(n, false), dm.Latency(n, false), func(at2 time.Time) {
 				tag.Hop(obs.StageDMA, srcRank, n)
-				staged = append([]byte(nil), sb...)
+				staged = eng.capture(sb)
 				wire(at2)
 			})
 			return
 		}
 		// Host source, or (GPUDirect) the NIC reads the device segment
 		// directly at wire injection: no d2h descriptor, no bounce.
-		staged = append([]byte(nil), sb...)
+		staged = eng.capture(sb)
 		wire(at)
 	}
 
@@ -410,7 +361,7 @@ func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRan
 			spinFor(m.Overhead(n, ep.net.Intra(ep.rank, dstRank)))
 		}
 		tag.Hop(obs.StageCapture, ep.rank, 0)
-		srcSide(time.Now())
+		srcSide(eng.now())
 		return
 	}
 	// Third-party (or remote-source) copy: a request hop carries the

@@ -18,6 +18,12 @@ import (
 // at delivery time, playing the role of the target NIC's DMA engine:
 // transfers complete without any initiator or target CPU attentiveness,
 // matching GASNet-EX semantics described in the paper (§III).
+//
+// A nil *engine is the zero-delay conduit: every hop chain runs the same
+// steps, but each inject or schedule delivers synchronously on the
+// calling goroutine (at the zero time, which nothing reads), and capture
+// copies alias their source because the delivery that reads them has
+// already run when the caller's buffer becomes reusable.
 type engine struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -65,6 +71,10 @@ func newEngine(ranks int) *engine {
 
 // schedule queues run at the absolute time due.
 func (e *engine) schedule(due time.Time, run func(at time.Time)) {
+	if e == nil {
+		run(due)
+		return
+	}
 	e.mu.Lock()
 	e.seq++
 	heap.Push(&e.events, event{due: due, seq: e.seq, run: run})
@@ -74,15 +84,47 @@ func (e *engine) schedule(due time.Time, run func(at time.Time)) {
 	e.ring()
 }
 
+// complete delivers f to ep's completion queue at time due.
+func (e *engine) complete(due time.Time, ep *Endpoint, f func()) {
+	if e == nil {
+		ep.enqueueComp(f)
+		return
+	}
+	e.schedule(due, func(time.Time) { ep.enqueueComp(f) })
+}
+
+// now is the time a hop chain starts at: the wall clock under a timing
+// model, the zero time on the zero-delay conduit.
+func (e *engine) now() time.Time {
+	if e == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// capture returns the bytes of src a hop chain carries to a later hop: a
+// private copy under a timing model, src itself when delivery is
+// synchronous.
+func (e *engine) capture(src []byte) []byte {
+	if e == nil {
+		return src
+	}
+	return append([]byte(nil), src...)
+}
+
 // injectFrom models rank src injecting a message now: the message occupies
 // src's NIC for gap, then arrives lat later, at which point deliver runs.
 func (e *engine) injectFrom(src int, gap, lat time.Duration, deliver func(at time.Time)) {
-	e.injectFromAt(src, time.Now(), gap, lat, deliver)
+	e.injectFromAt(src, e.now(), gap, lat, deliver)
 }
 
 // injectFromAt is injectFrom with an explicit earliest injection time (used
 // for NIC-initiated traffic such as get replies).
 func (e *engine) injectFromAt(src int, earliest time.Time, gap, lat time.Duration, deliver func(at time.Time)) {
+	if e == nil {
+		deliver(earliest)
+		return
+	}
 	e.injectOn(e.nicFree, src, earliest, gap, lat, deliver)
 }
 
@@ -93,6 +135,10 @@ func (e *engine) injectFromAt(src int, earliest time.Time, gap, lat time.Duratio
 // independent channels: a rank can stream over the wire and across PCIe
 // concurrently.
 func (e *engine) injectDMAAt(r int, earliest time.Time, gap, lat time.Duration, deliver func(at time.Time)) {
+	if e == nil {
+		deliver(earliest)
+		return
+	}
 	e.injectOn(e.dmaFree, r, earliest, gap, lat, deliver)
 }
 

@@ -1,8 +1,11 @@
 package gasnet
 
 import (
+	"bytes"
 	"testing"
 	"time"
+
+	"upcxx/internal/obs"
 )
 
 func TestDeviceSegmentRegistry(t *testing.T) {
@@ -187,10 +190,13 @@ func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 }
 
 // TestKindsCopySegMatrixNoDelay: byte-level correctness of every CopySeg
-// shape on the zero-delay conduit, including a third-party initiator.
+// shape, including a third-party initiator, on both delivery modes — the
+// zero-delay conduit (the hop chain run inline) and a small-L LogGP
+// engine — each with GPUDirect off and on. For every shape both modes
+// must count the same per-kind DMA descriptors on every rank, deliver
+// exactly one completion, and fire the remote AM only once the bytes
+// are in place at the destination.
 func TestKindsCopySegMatrixNoDelay(t *testing.T) {
-	n := NewNetwork(Config{Ranks: 3})
-	defer n.Close()
 	pat := make([]byte, 128)
 	for i := range pat {
 		pat[i] = byte(i*7 + 3)
@@ -208,26 +214,145 @@ func TestKindsCopySegMatrixNoDelay(t *testing.T) {
 		{side{0, false}, side{1, true}},  // h2d cross
 		{side{1, true}, side{2, true}},   // d2d third-party
 	}
-	for _, tc := range cases {
-		seg := func(s side) SegID {
-			if !s.dev {
-				return HostSeg
+	// outcome is what one copy left behind: per-rank DMA descriptor
+	// counts by kind and the number of completions delivered.
+	type outcome struct {
+		dma         [3][obs.NumDMAKinds]uint64
+		completions int
+	}
+	modes := []struct {
+		name  string
+		model Model
+	}{
+		{"zero-delay", nil},
+		{"loggp", &LogGP{L: 2 * time.Microsecond, Gp: time.Microsecond, IntraL: time.Microsecond}},
+	}
+	for _, gdr := range []bool{false, true} {
+		var ref []outcome
+		for _, mode := range modes {
+			var dma DMAModel = NoDelayDMA{GDR: gdr}
+			if mode.model != nil {
+				dma = &PCIeDMA{L: 2 * time.Microsecond, Gp: time.Microsecond, GDR: gdr}
 			}
-			return n.Endpoint(s.rank).AddDeviceSegment(1 << 12)
+			ob := obs.New(3, obs.Options{})
+			n := NewNetwork(Config{Ranks: 3, Model: mode.model, DMA: dma, Obs: ob})
+			var outcomes []outcome
+			for _, tc := range cases {
+				seg := func(s side) SegID {
+					if !s.dev {
+						return HostSeg
+					}
+					return n.Endpoint(s.rank).AddDeviceSegment(1 << 12)
+				}
+				ss, ds := seg(tc.src), seg(tc.dst)
+				so, _ := n.Endpoint(tc.src.rank).SegByID(ss).Alloc(len(pat))
+				do, _ := n.Endpoint(tc.dst.rank).SegByID(ds).Alloc(len(pat))
+				copy(n.Endpoint(tc.src.rank).SegByID(ss).Bytes(so, len(pat)), pat)
+				var before [3][obs.NumDMAKinds]uint64
+				for r := range before {
+					before[r] = ob.Rank(r).Snapshot().DMA
+				}
+				ep, dstEP := n.Endpoint(0), n.Endpoint(tc.dst.rank)
+				got := dstEP.SegByID(ds).Bytes(do, len(pat))
+				fired := false
+				h := n.RegisterAM(func(*Endpoint, Rank, []byte, any) {
+					if !bytes.Equal(got, pat) {
+						t.Errorf("%s gdr=%v copy %+v: remote AM fired before the bytes landed", mode.name, gdr, tc)
+					}
+					fired = true
+				})
+				completions := 0
+				ep.CopySeg(tc.src.rank, ss, so, tc.dst.rank, ds, do, len(pat), func() { completions++ }, &RemoteAM{Handler: h})
+				deadline := time.Now().Add(10 * time.Second)
+				for completions == 0 || !fired {
+					ep.Poll()
+					dstEP.Poll()
+					if time.Now().After(deadline) {
+						t.Fatalf("%s gdr=%v copy %+v never completed", mode.name, gdr, tc)
+					}
+				}
+				for i := range pat {
+					if got[i] != pat[i] {
+						t.Fatalf("copy %+v byte %d = %d, want %d", tc, i, got[i], pat[i])
+					}
+				}
+				oc := outcome{completions: completions}
+				for r := range oc.dma {
+					after := ob.Rank(r).Snapshot().DMA
+					for k := range after {
+						oc.dma[r][k] = after[k] - before[r][k]
+					}
+				}
+				outcomes = append(outcomes, oc)
+			}
+			n.Close()
+			for i, oc := range outcomes {
+				if oc.completions != 1 {
+					t.Errorf("%s gdr=%v copy %+v: %d completions, want 1", mode.name, gdr, cases[i], oc.completions)
+				}
+				if ref != nil && oc != ref[i] {
+					t.Errorf("gdr=%v copy %+v: %s left %+v, %s left %+v",
+						gdr, cases[i], modes[0].name, ref[i], mode.name, oc)
+				}
+			}
+			if ref == nil {
+				ref = outcomes
+			}
 		}
-		ss, ds := seg(tc.src), seg(tc.dst)
-		so, _ := n.Endpoint(tc.src.rank).SegByID(ss).Alloc(len(pat))
-		do, _ := n.Endpoint(tc.dst.rank).SegByID(ds).Alloc(len(pat))
-		copy(n.Endpoint(tc.src.rank).SegByID(ss).Bytes(so, len(pat)), pat)
-		ep := n.Endpoint(0)
+	}
+}
+
+// TestKindsHostRangeFaultsOnCaller: under a timing model, a host put,
+// get or AMO with an out-of-range offset, and an AMO with an unknown
+// opcode, panic on the initiating goroutine before anything is injected
+// — a fault inside the delivery engine's goroutine would kill the
+// process. The engine keeps delivering afterwards.
+func TestKindsHostRangeFaultsOnCaller(t *testing.T) {
+	const size = 1 << 12
+	n := NewNetwork(Config{Ranks: 2, SegmentSize: size, Model: &LogGP{L: time.Microsecond, Gp: time.Microsecond}})
+	defer n.Close()
+	ep := n.Endpoint(0)
+	ops := []struct {
+		name string
+		op   func()
+	}{
+		{"put", func() { ep.Put(1, size-4, make([]byte, 8), nil) }},
+		{"get", func() { ep.Get(1, size, make([]byte, 8), nil) }},
+		{"amo", func() { ep.AMO(1, size-4, AMOAdd, 1, 0, nil) }},
+		{"amo opcode", func() { ep.AMO(1, 0, AMOCompSwap+1, 0, 0, nil) }},
+	}
+	for _, tc := range ops {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a bad request did not panic on the calling goroutine", tc.name)
+				}
+			}()
+			tc.op()
+		}()
+	}
+	done := false
+	ep.Put(1, 0, make([]byte, 8), func() { done = true })
+	pollDone(t, ep, &done)
+}
+
+// TestKindsNoDelayDMAInstant: on a zero-delay network device hops are
+// instantaneous whatever Config.DMA costs, so device puts against a DMA
+// model with a 4 ms kickoff latency complete in well under 4 ms.
+func TestKindsNoDelayDMAInstant(t *testing.T) {
+	const lat = 4 * time.Millisecond
+	n := NewNetwork(Config{Ranks: 2, DMA: &PCIeDMA{L: lat}})
+	defer n.Close()
+	ep := n.Endpoint(0)
+	t0 := time.Now()
+	for _, dst := range []Rank{0, 1} {
+		id := n.Endpoint(dst).AddDeviceSegment(1 << 12)
+		off, _ := n.Endpoint(dst).SegByID(id).Alloc(64)
 		done := false
-		ep.CopySeg(tc.src.rank, ss, so, tc.dst.rank, ds, do, len(pat), func() { done = true }, nil)
+		ep.PutSeg(dst, id, off, make([]byte, 64), func() { done = true }, nil)
 		pollDone(t, ep, &done)
-		got := n.Endpoint(tc.dst.rank).SegByID(ds).Bytes(do, len(pat))
-		for i := range pat {
-			if got[i] != pat[i] {
-				t.Fatalf("copy %+v byte %d = %d, want %d", tc, i, got[i], pat[i])
-			}
-		}
+	}
+	if elapsed := time.Since(t0); elapsed >= lat {
+		t.Fatalf("two zero-delay device puts took %v; the DMA model's %v latency was charged", elapsed, lat)
 	}
 }

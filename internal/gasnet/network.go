@@ -37,8 +37,8 @@ type Config struct {
 	Model        Model // nil means NoDelay
 	// DMA is the device copy-engine model used for transfers touching
 	// device-kind segments. nil defaults to PCIe3 when Model is a
-	// real-time model, NoDelayDMA otherwise; with a zero-delay network
-	// model device hops are always instantaneous.
+	// real-time model. With a zero-delay network model device hops are
+	// always instantaneous: only DMA's GPUDirect capability is kept.
 	DMA DMAModel
 	// Obs, when non-nil, is the job's observability recorder (sized to
 	// Ranks): the conduit records wire messages per peer, DMA
@@ -60,14 +60,13 @@ const DefaultSegmentSize = 8 << 20
 // Network couples the endpoints of one job. It owns the AM handler table
 // and, when a timing model is installed, the delivery engine.
 type Network struct {
-	cfg      Config
-	model    Model
-	dma      DMAModel
-	realtime bool
-	gdr      bool // every endpoint's engine is GPUDirect-capable
-	eps      []*Endpoint
-	eng      *engine
-	trans    *transport // real transport backend; nil = in-process conduit
+	cfg   Config
+	model Model
+	dma   DMAModel
+	gdr   bool       // every endpoint's engine is GPUDirect-capable
+	eps   []*Endpoint
+	eng   *engine    // nil = zero-delay: hop chains deliver inline
+	trans *transport // real transport backend; nil = in-process conduit
 
 	hmu      sync.Mutex
 	handlers []AMHandler
@@ -124,23 +123,20 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = cfg.Ranks
 	}
-	model := cfg.Model
+	model, dma := cfg.Model, cfg.DMA
 	_, realtime := model.(*LogGP)
-	if model == nil {
-		model = NoDelay{}
-	}
-	dma := cfg.DMA
-	if dma == nil {
-		if realtime {
-			dma = PCIe3()
-		} else {
-			dma = NoDelayDMA{}
-		}
+	switch {
+	case !realtime:
+		// Zero-delay: every hop is free whatever the DMA model costs,
+		// but a GPUDirect engine still selects the direct chains.
+		model, dma = NoDelay{}, NoDelayDMA{GDR: dma != nil && dma.GPUDirect()}
+	case dma == nil:
+		dma = PCIe3()
 	}
 	if cfg.Obs != nil && cfg.Obs.Ranks() != cfg.Ranks {
 		panic("gasnet: Config.Obs sized for a different job")
 	}
-	n := &Network{cfg: cfg, model: model, dma: dma, realtime: realtime, gdr: dma.GPUDirect()}
+	n := &Network{cfg: cfg, model: model, dma: dma, gdr: dma.GPUDirect()}
 	n.eps = make([]*Endpoint, cfg.Ranks)
 	if cfg.Real != nil {
 		// Real multi-process backend: this process hosts exactly one
@@ -228,9 +224,6 @@ func (n *Network) Intra(a, b Rank) bool { return n.Node(a) == n.Node(b) }
 
 // Endpoint returns rank r's endpoint.
 func (n *Network) Endpoint(r Rank) *Endpoint { return n.eps[r] }
-
-// DMAModel returns the device copy-engine cost model in effect.
-func (n *Network) DMAModel() DMAModel { return n.dma }
 
 // GPUDirect reports whether the job's direct NIC↔device datapath is in
 // effect. The simulated conduit has one DMA model for the whole job, so
@@ -388,9 +381,7 @@ func (ep *Endpoint) ChargeFusedFold(n, ways int) {
 	if ep.ro != nil {
 		ep.ro.FusedFold(ways)
 	}
-	if ep.net.realtime {
-		spinFor(ep.net.dma.FoldGap(n, ways))
-	}
+	spinFor(ep.net.dma.FoldGap(n, ways))
 }
 
 // DeviceSegments returns the number of device segments currently
@@ -645,101 +636,13 @@ func (ep *Endpoint) deliverRemote(dst Rank, rem *RemoteAM) {
 // (operation completion; requires initiator attentiveness to observe, but
 // the transfer itself completes without it).
 func (ep *Endpoint) Put(dst Rank, dstOff uint64, src []byte, onAck func()) {
-	ep.put(dst, dstOff, src, onAck, nil, obs.OpTag{})
-}
-
-// put is Put with an optional remote-completion AM, fired at the target
-// when the data lands (before the ack starts its trip back), and the
-// initiator's observability tag.
-func (ep *Endpoint) put(dst Rank, dstOff uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) {
-	n := len(src)
-	ep.puts.Add(1)
-	ep.putBytes.Add(uint64(n))
-	if t := ep.net.trans; t != nil && dst != ep.rank {
-		t.put(dst, HostSeg, dstOff, src, onAck, rem, tag)
-		return
-	}
-	tgt := ep.net.eps[dst]
-	intra := ep.net.Intra(ep.rank, dst)
-	tag.WireMsg(ep.rank, dst, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		copy(tgt.seg.Bytes(dstOff, n), src)
-		tag.Landing(dst, n)
-		ep.deliverRemote(dst, rem)
-		if onAck != nil {
-			ep.enqueueComp(onAck)
-		}
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(n, intra))
-	staged := append([]byte(nil), src...)
-	tag.Hop(obs.StageCapture, ep.rank, n)
-	eng := ep.net.eng
-	gap := m.Gap(n, intra)
-	lat := m.Latency(n, intra)
-	ackLat := m.Latency(0, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(at time.Time) {
-		copy(tgt.seg.Bytes(dstOff, n), staged)
-		tag.Landing(dst, n)
-		ep.deliverRemote(dst, rem)
-		if onAck != nil {
-			eng.schedule(at.Add(ackLat), func(time.Time) { ep.enqueueComp(onAck) })
-		}
-	})
+	ep.PutSegTag(dst, HostSeg, dstOff, src, onAck, nil, obs.OpTag{})
 }
 
 // Get starts a one-sided get of len(dst) bytes from (src, srcOff) into dst.
 // dst must not be read (or reused) until onDone is delivered via Poll.
 func (ep *Endpoint) Get(src Rank, srcOff uint64, dst []byte, onDone func()) {
-	ep.get(src, srcOff, dst, onDone, obs.OpTag{})
-}
-
-// get is Get carrying the initiator's observability tag. The payload
-// lands at the *initiator* (that is where a get's data becomes visible),
-// so the landing edge is recorded against ep.rank.
-func (ep *Endpoint) get(src Rank, srcOff uint64, dst []byte, onDone func(), tag obs.OpTag) {
-	n := len(dst)
-	ep.gets.Add(1)
-	ep.getBytes.Add(uint64(n))
-	if t := ep.net.trans; t != nil && src != ep.rank {
-		t.get(src, HostSeg, srcOff, dst, onDone, tag)
-		return
-	}
-	rem := ep.net.eps[src]
-	intra := ep.net.Intra(ep.rank, src)
-	tag.WireMsg(ep.rank, src, 0)
-	tag.WireMsg(src, ep.rank, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, 0)
-		copy(dst, rem.seg.Bytes(srcOff, n))
-		tag.Landing(ep.rank, n)
-		if onDone != nil {
-			ep.enqueueComp(onDone)
-		}
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(0, intra))
-	tag.Hop(obs.StageCapture, ep.rank, 0)
-	eng := ep.net.eng
-	reqGap := m.Gap(0, intra)
-	reqLat := m.Latency(0, intra)
-	// Request travels to the source NIC; the reply carries the payload.
-	eng.injectFrom(int(ep.rank), reqGap, reqLat, func(at time.Time) {
-		tag.Hop(obs.StageWire, src, 0)
-		staged := append([]byte(nil), rem.seg.Bytes(srcOff, n)...)
-		replyGap := m.Gap(n, intra)
-		replyLat := m.Latency(n, intra)
-		eng.injectFromAt(int(src), at, replyGap, replyLat, func(time.Time) {
-			copy(dst, staged)
-			tag.Landing(ep.rank, n)
-			if onDone != nil {
-				ep.enqueueComp(onDone)
-			}
-		})
-	})
+	ep.GetSegTag(src, HostSeg, srcOff, dst, onDone, obs.OpTag{})
 }
 
 // AM sends an Active Message carrying payload to the handler h on dst. The
@@ -753,38 +656,10 @@ func (ep *Endpoint) AM(dst Rank, h HandlerID, payload []byte, aux any) {
 	ep.AMTag(dst, h, payload, aux, obs.OpTag{})
 }
 
-// AMTag is AM carrying the initiator's observability tag; the landing
-// edge fires when the message is enqueued at the target (handler
-// execution still requires target attentiveness).
+// AMTag is AM carrying the initiator's observability tag: the one-fragment
+// case of AMTagV.
 func (ep *Endpoint) AMTag(dst Rank, h HandlerID, payload []byte, aux any, tag obs.OpTag) {
-	n := len(payload)
-	ep.ams.Add(1)
-	ep.amBytes.Add(uint64(n))
-	if t := ep.net.trans; t != nil && dst != ep.rank {
-		// The frame encode is the capture copy; no extra staging.
-		t.am(dst, h, [][]byte{payload}, aux, tag)
-		return
-	}
-	tgt := ep.net.eps[dst]
-	intra := ep.net.Intra(ep.rank, dst)
-	staged := append([]byte(nil), payload...)
-	tag.WireMsg(ep.rank, dst, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(n, intra))
-	tag.Hop(obs.StageCapture, ep.rank, n)
-	eng := ep.net.eng
-	gap := m.Gap(n, intra)
-	lat := m.Latency(n, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(time.Time) {
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-	})
+	ep.AMTagV(dst, h, [][]byte{payload}, aux, tag)
 }
 
 // AMTagV is AMTag taking the payload as an iovec: the message is the
@@ -796,6 +671,8 @@ func (ep *Endpoint) AMTag(dst Rank, h HandlerID, payload []byte, aux any, tag ob
 // real-time model the gather happens after the initiator overhead spin,
 // and mutations made after return but before wire delivery are not
 // observed by the target — the capture is exactly once, exactly here.
+// The landing edge fires when the message is enqueued at the target
+// (handler execution still requires target attentiveness).
 func (ep *Endpoint) AMTagV(dst Rank, h HandlerID, frags [][]byte, aux any, tag obs.OpTag) {
 	n := 0
 	for _, f := range frags {
@@ -812,29 +689,17 @@ func (ep *Endpoint) AMTagV(dst Rank, h HandlerID, frags [][]byte, aux any, tag o
 	}
 	tgt := ep.net.eps[dst]
 	intra := ep.net.Intra(ep.rank, dst)
-	tag.WireMsg(ep.rank, dst, n)
-	gather := func() []byte {
-		staged := make([]byte, 0, n)
-		for _, f := range frags {
-			staged = append(staged, f...)
-		}
-		return staged
-	}
-	if !ep.net.realtime {
-		staged := gather()
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-		return
-	}
 	m := ep.net.model
+	tag.WireMsg(ep.rank, dst, n)
 	spinFor(m.Overhead(n, intra))
-	staged := gather()
+	// The handler runs after AMTagV returns, so the payload is always
+	// staged, even when delivery is synchronous.
+	staged := make([]byte, 0, n)
+	for _, f := range frags {
+		staged = append(staged, f...)
+	}
 	tag.Hop(obs.StageCapture, ep.rank, n)
-	eng := ep.net.eng
-	gap := m.Gap(n, intra)
-	lat := m.Latency(n, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(time.Time) {
+	ep.net.eng.injectFrom(int(ep.rank), m.Gap(n, intra), m.Latency(n, intra), func(time.Time) {
 		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
 		tag.Landing(dst, n)
 	})
@@ -856,30 +721,23 @@ func (ep *Endpoint) AMOTag(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onRe
 		return
 	}
 	tgt := ep.net.eps[dst]
-	intra := ep.net.Intra(ep.rank, dst)
-	tag.WireMsg(ep.rank, dst, 8)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, 8)
-		old := tgt.seg.applyAMO(off, op, op1, op2)
-		tag.Landing(dst, 8)
-		if onResult != nil {
-			ep.enqueueComp(func() { onResult(old) })
-		}
-		return
+	// Resolve and validate eagerly: a bad offset or opcode must fault on
+	// the initiating goroutine, not inside the delivery engine.
+	tgt.seg.Bytes(off, 8)
+	if op > AMOCompSwap {
+		panic(fmt.Sprintf("gasnet: unknown AMO op %d", op))
 	}
-	m := ep.net.model
+	intra := ep.net.Intra(ep.rank, dst)
+	m, eng := ep.net.model, ep.net.eng
+	tag.WireMsg(ep.rank, dst, 8)
 	spinFor(m.Overhead(8, intra))
 	tag.Hop(obs.StageCapture, ep.rank, 8)
-	eng := ep.net.eng
-	gap := m.Gap(8, intra)
 	lat := m.Latency(8, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(at time.Time) {
+	eng.injectFrom(int(ep.rank), m.Gap(8, intra), lat, func(at time.Time) {
 		old := tgt.seg.applyAMO(off, op, op1, op2)
 		tag.Landing(dst, 8)
 		if onResult != nil {
-			eng.schedule(at.Add(lat), func(time.Time) {
-				ep.enqueueComp(func() { onResult(old) })
-			})
+			eng.complete(at.Add(lat), ep, func() { onResult(old) })
 		}
 	})
 }
