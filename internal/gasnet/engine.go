@@ -20,10 +20,10 @@ import (
 // matching GASNet-EX semantics described in the paper (§III).
 //
 // A nil *engine is the zero-delay conduit: every hop chain runs the same
-// steps, but each inject or schedule delivers synchronously on the
-// calling goroutine (at the zero time, which nothing reads), and capture
-// copies alias their source because the delivery that reads them has
-// already run when the caller's buffer becomes reusable.
+// steps, but each inject and completion is delivered synchronously on
+// the calling goroutine (at the zero time, which nothing reads), and
+// capture copies alias their source because the delivery that reads
+// them has already run when the caller's buffer becomes reusable.
 type engine struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -71,10 +71,6 @@ func newEngine(ranks int) *engine {
 
 // schedule queues run at the absolute time due.
 func (e *engine) schedule(due time.Time, run func(at time.Time)) {
-	if e == nil {
-		run(due)
-		return
-	}
 	e.mu.Lock()
 	e.seq++
 	heap.Push(&e.events, event{due: due, seq: e.seq, run: run})
@@ -84,7 +80,8 @@ func (e *engine) schedule(due time.Time, run func(at time.Time)) {
 	e.ring()
 }
 
-// complete delivers f to ep's completion queue at time due.
+// complete delivers f to ep's completion queue at time due. Hop chains
+// use it rather than schedule, which needs a running engine.
 func (e *engine) complete(due time.Time, ep *Endpoint, f func()) {
 	if e == nil {
 		ep.enqueueComp(f)

@@ -63,7 +63,7 @@ type Network struct {
 	cfg   Config
 	model Model
 	dma   DMAModel
-	gdr   bool       // every endpoint's engine is GPUDirect-capable
+	gdr   bool // every endpoint's engine is GPUDirect-capable
 	eps   []*Endpoint
 	eng   *engine    // nil = zero-delay: hop chains deliver inline
 	trans *transport // real transport backend; nil = in-process conduit
